@@ -5,8 +5,8 @@ reports that it gives "good hashing performance" (section 7.2); all the
 hash-dominated Table 3 rows inherit their shape from its per-block cost.
 This bench characterises our substitute: the modelled cycles-per-byte of
 SHA-256 and HMAC (which must sit in the realistic range that makes
-Attest ≈ 12 k cycles), and the host wall-time of the pure-Python
-implementation (simulator health, not a paper claim).
+Attest ≈ 12 k cycles), and the host wall-time of the ``hashlib``-backed
+byte stream (simulator health, not a paper claim).
 """
 
 import pytest

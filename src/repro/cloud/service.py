@@ -12,7 +12,10 @@ Resilience mechanics:
 * **idempotency** — requests are identified by ``CloudRequest.key``;
   a second submit of the same key awaits the first execution's future,
   and a crash-retried request is re-*dispatched*, never re-*resolved*,
-  so a seal/sign executes at most once from the client's view;
+  so a seal/sign executes at most once from the client's view.  The
+  table keeps the newest ``MAX_COMPLETED_ENTRIES`` completed entries
+  (in-flight ones are never evicted), so a long-running service's
+  memory stays bounded;
 * **crash retry** — a dead worker's in-flight requests (up to
   ``pipeline_depth`` of them) are each re-dispatched after a seeded
   exponential backoff (``repro.util.backoff`` delays ×
@@ -65,6 +68,9 @@ from repro.util.backoff import Backoff, BackoffPolicy
 #: Fork is the only start method that inherits the prewarmed template;
 #: it exists on every POSIX platform this repo targets.
 _MP_CONTEXT = "fork"
+
+#: Completed requests the idempotency table keeps for duplicate submits.
+MAX_COMPLETED_ENTRIES = 1024
 
 
 @dataclass
@@ -132,6 +138,8 @@ class CloudService:
         self._dead_handles: List[WorkerHandle] = []
         self._next_worker_id = 0
         self._entries: Dict[str, _Entry] = {}
+        #: Keys of completed entries, oldest first (eviction order).
+        self._completed: Deque[str] = deque()
         self._queue: Deque[str] = deque()
         #: Worker ids with spare pipeline capacity (each at most once).
         self._idle: Deque[int] = deque()
@@ -585,3 +593,8 @@ class CloudService:
                 elapsed=time.monotonic() - entry.started,
             )
         )
+        # Only completed keys are queued here, so eviction never drops
+        # an entry whose future a caller may still be waiting on.
+        self._completed.append(key)
+        while len(self._completed) > MAX_COMPLETED_ENTRIES:
+            del self._entries[self._completed.popleft()]

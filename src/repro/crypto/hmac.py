@@ -1,4 +1,4 @@
-"""HMAC-SHA256 (RFC 2104), built on the from-scratch SHA-256.
+"""HMAC-SHA256 (RFC 2104), built on ``SHA256``'s byte-stream path.
 
 Komodo's local attestation is a MAC over (measurement, enclave-supplied
 data) keyed with a boot-time secret (paper section 4).  The monitor-side
@@ -14,8 +14,9 @@ from typing import Callable, List, Optional, Sequence
 from repro.arm.bits import to_word
 from repro.crypto.sha256 import BLOCK_SIZE, SHA256, sha256
 
-_IPAD = 0x36
-_OPAD = 0x5C
+# Byte-wise XOR with the RFC 2104 pads, as ``bytes.translate`` tables.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def hmac_sha256(
@@ -26,10 +27,10 @@ def hmac_sha256(
         key = sha256(key)
     key = key + b"\x00" * (BLOCK_SIZE - len(key))
     inner = SHA256(on_block=on_block)
-    inner.update(bytes(b ^ _IPAD for b in key))
+    inner.update(key.translate(_IPAD))
     inner.update(message)
     outer = SHA256(on_block=on_block)
-    outer.update(bytes(b ^ _OPAD for b in key))
+    outer.update(key.translate(_OPAD))
     outer.update(inner.digest())
     return outer.digest()
 

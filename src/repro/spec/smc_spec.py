@@ -269,6 +269,9 @@ def spec_finalise(db: AbsPageDb, as_page: int) -> SpecResult:
     from repro.crypto.sha256 import SHA256
 
     aspace = db[as_page]
+    # A fresh byte-stream hash runs on hashlib, not on the memoised
+    # from-scratch chaining path the monitor measures with, so the
+    # refinement check compares two independent implementations.
     hasher = SHA256()
     hasher.update(b"".join((w & 0xFFFFFFFF).to_bytes(4, "big") for w in aspace.measured))
     digest = tuple(hasher.digest_words())

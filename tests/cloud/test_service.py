@@ -6,6 +6,7 @@ forked from the session-cached template, so spawns are cheap.
 
 import asyncio
 
+from repro.cloud import service as service_module
 from repro.cloud.api import CloudRequest
 from repro.cloud.service import CloudService
 from repro.cloud.worker import get_template
@@ -72,6 +73,46 @@ class TestServing:
                 )
                 assert first.digest() == second.digest()
                 assert service.stats()["submitted"] == 1  # one execution
+            finally:
+                await service.close()
+
+        run(body())
+
+    def test_idempotency_table_stays_bounded(self, template, monkeypatch):
+        cap = 4
+        monkeypatch.setattr(service_module, "MAX_COMPLETED_ENTRIES", cap)
+
+        async def body():
+            service = CloudService(workers=2)
+            await service.start()
+            try:
+                requests = [
+                    CloudRequest("checksum", (0x71, nonce), nonce=nonce)
+                    for nonce in range(30)
+                ]
+                for batch in range(0, len(requests), 6):
+                    chunk = requests[batch : batch + 6]
+                    # Each key twice while in flight: dedup still holds
+                    # with a table smaller than the batch.
+                    responses = await asyncio.gather(
+                        *(service.submit(r) for r in chunk + chunk)
+                    )
+                    for request, response in zip(chunk + chunk, responses):
+                        assert response.ok, response.error
+                        assert (
+                            response.digest() == template.expected(request).digest()
+                        )
+                    assert len(service._entries) <= cap
+                assert service.stats()["submitted"] == len(requests)
+                # A recent duplicate is answered from the table ...
+                recent = await service.submit(requests[-1])
+                assert service.stats()["submitted"] == len(requests)
+                assert recent.digest() == template.expected(requests[-1]).digest()
+                # ... an evicted one runs again, to the same result.
+                evicted = await service.submit(requests[0])
+                assert service.stats()["submitted"] == len(requests) + 1
+                assert evicted.digest() == template.expected(requests[0]).digest()
+                assert len(service._entries) <= cap
             finally:
                 await service.close()
 

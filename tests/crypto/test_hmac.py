@@ -1,4 +1,4 @@
-"""HMAC-SHA256: RFC 4231 vectors, stdlib cross-check, word interface."""
+"""HMAC-SHA256: RFC 4231 vectors, from-scratch oracle, word interface."""
 
 import hashlib
 import hmac as stdlib_hmac
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.arm.bits import bytes_to_words
 from repro.crypto.hmac import constant_time_equal, hmac_sha256, hmac_sha256_words
+from tests.crypto.reference import reference_hmac
 
 # RFC 4231 test cases (key, data, expected HMAC-SHA256).
 RFC4231 = [
@@ -39,14 +40,38 @@ class TestRFC4231:
     @pytest.mark.parametrize("key,data,expected", RFC4231)
     def test_vectors(self, key, data, expected):
         assert hmac_sha256(key, data).hex() == expected
+        assert reference_hmac(key, data).hex() == expected
 
 
 class TestAgainstStdlib:
+    """The from-scratch reference HMAC checked against the stdlib.
+
+    ``hmac_sha256`` itself runs on ``hashlib``; it is checked against
+    the reference in :class:`TestFastPathDifferential`.
+    """
+
     @given(st.binary(max_size=200), st.binary(max_size=300))
     @settings(max_examples=100)
     def test_matches_stdlib(self, key, message):
         expected = stdlib_hmac.new(key, message, hashlib.sha256).digest()
-        assert hmac_sha256(key, message) == expected
+        assert reference_hmac(key, message) == expected
+
+
+class TestFastPathDifferential:
+    @given(st.binary(max_size=130), st.binary(max_size=300))
+    @settings(max_examples=150)
+    def test_matches_reference_with_block_counts(self, key, message):
+        ours, reference = [], []
+        mac = hmac_sha256(key, message, on_block=lambda: ours.append(1))
+        expected = reference_hmac(key, message, on_block=lambda: reference.append(1))
+        assert mac == expected
+        assert len(ours) == len(reference)
+
+    @pytest.mark.parametrize("key_len", [0, 1, 63, 64, 65, 128, 130])
+    def test_key_lengths_around_a_block(self, key_len):
+        key = bytes(range(key_len))
+        message = b"komodo" * 20
+        assert hmac_sha256(key, message) == reference_hmac(key, message)
 
 
 class TestWordInterface:

@@ -1,4 +1,4 @@
-"""SHA-256: standard vectors, hashlib cross-check, incremental state."""
+"""SHA-256: standard vectors, from-scratch oracle, fast-path differential."""
 
 import hashlib
 
@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arm.bits import bytes_to_words
-from repro.crypto.sha256 import BLOCK_SIZE, DIGEST_SIZE, SHA256, sha256, sha256_words
+from repro.crypto.sha256 import (
+    _H0,
+    BLOCK_SIZE,
+    COMPRESS_MEMO_SIZE,
+    DIGEST_SIZE,
+    SHA256,
+    _compress,
+    _compress_memo,
+    sha256,
+    sha256_words,
+)
+from tests.crypto.reference import reference_sha256
 
 # FIPS 180-4 / NIST test vectors.
 VECTORS = [
@@ -25,6 +36,7 @@ class TestVectors:
     @pytest.mark.parametrize("message,expected", VECTORS[:3])
     def test_nist_vectors(self, message, expected):
         assert sha256(message).hex() == expected
+        assert reference_sha256(message).hex() == expected
 
     def test_million_a(self):
         message, expected = VECTORS[3]
@@ -35,15 +47,25 @@ class TestVectors:
 
 
 class TestAgainstHashlib:
+    """The from-scratch code (``_compress``) checked against OpenSSL.
+
+    ``sha256()`` itself is ``hashlib``-backed, so these target the
+    from-scratch reference and the from-scratch incremental byte path.
+    """
+
     @given(st.binary(max_size=512))
     @settings(max_examples=200)
     def test_matches_hashlib(self, data):
-        assert sha256(data) == hashlib.sha256(data).digest()
+        assert reference_sha256(data) == hashlib.sha256(data).digest()
 
     @given(st.lists(st.binary(max_size=100), max_size=8))
     def test_incremental_matches(self, chunks):
+        # A hasher that took a block on the chaining path stays from
+        # scratch for its byte-stream updates and its padding.
+        prefix = bytes(range(BLOCK_SIZE))
         ours = SHA256()
-        reference = hashlib.sha256()
+        ours.update_block_words(bytes_to_words(prefix))
+        reference = hashlib.sha256(prefix)
         for chunk in chunks:
             ours.update(chunk)
             reference.update(chunk)
@@ -52,9 +74,8 @@ class TestAgainstHashlib:
     def test_boundary_lengths(self):
         """Lengths around the padding boundary (55/56/63/64/65 bytes)."""
         for length in (0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128):
-            data = bytes(range(256))[:length] * 1
-            data = (b"\xab" * length)
-            assert sha256(data) == hashlib.sha256(data).digest()
+            data = b"\xab" * length
+            assert reference_sha256(data) == hashlib.sha256(data).digest()
 
 
 class TestIncrementalState:
@@ -125,7 +146,105 @@ class TestCostHook:
         hasher.digest()  # padding adds one more block
         assert len(calls) == 4
 
+    def test_resumed_finalise_charges_padding_block(self):
+        calls = []
+        hasher = SHA256.from_state(list(_H0), 0, on_block=lambda: calls.append(1))
+        hasher.update_block_words([0] * 16)
+        hasher.digest()
+        assert len(calls) == 2
+
     def test_sha256_words_helper(self):
         assert sha256_words([0x61626380]) == bytes_to_words(
             hashlib.sha256(b"\x61\x62\x63\x80").digest()
         )
+
+
+def _stream_and_reference(data, cuts):
+    """Digest and ``on_block`` count from the byte stream and the oracle."""
+    stream_calls, reference_calls = [], []
+    hasher = SHA256(on_block=lambda: stream_calls.append(1))
+    start = 0
+    for cut in sorted(cuts) + [len(data)]:
+        hasher.update(data[start:cut])
+        start = cut
+    digest = hasher.digest()
+    expected = reference_sha256(data, on_block=lambda: reference_calls.append(1))
+    return (digest, len(stream_calls)), (expected, len(reference_calls))
+
+
+class TestFastPathDifferential:
+    """The ``hashlib`` byte stream against the ``_compress`` reference."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_split_stream_matches_reference(self, data):
+        message = data.draw(st.binary(max_size=300))
+        cuts = data.draw(st.lists(st.integers(0, len(message)), max_size=6))
+        ours, reference = _stream_and_reference(message, cuts)
+        assert ours == reference
+
+    @pytest.mark.parametrize("length", [0, 1, 55, 56, 63, 64, 65, 119, 120, 128])
+    def test_boundary_lengths_and_block_counts(self, length):
+        message = bytes(range(256))[:length]
+        for cut in {0, length // 2, max(length - 1, 0)}:
+            ours, reference = _stream_and_reference(message, [cut])
+            assert ours == reference
+            assert ours[1] == (length + 9 + 63) // BLOCK_SIZE
+
+    @given(
+        st.lists(st.integers(0, 0xFFFFFFFF), min_size=8, max_size=8),
+        st.lists(
+            st.lists(st.integers(0, 0xFFFFFFFF), min_size=16, max_size=16),
+            max_size=5,
+        ),
+    )
+    def test_memoised_block_chain_matches_compress(self, start, blocks):
+        hasher = SHA256.from_state(start, 0)
+        state = start
+        for block in blocks:
+            hasher.update_block_words(block)
+            state = _compress(state, block)
+        assert hasher.state_words == state
+
+    def test_aligned_blocks_on_byte_stream(self):
+        """Whole blocks after aligned bytes are still accepted."""
+        data = bytes(range(128))
+        hasher = SHA256()
+        hasher.update(data[:64])
+        hasher.update_block_words(bytes_to_words(data[64:]))
+        assert hasher.digest() == reference_sha256(data)
+
+    def test_mixing_interfaces_still_raises(self):
+        hasher = SHA256()
+        hasher.update(b"x" * 65)
+        with pytest.raises(RuntimeError):
+            hasher.update_block_words([0] * 16)
+        with pytest.raises(RuntimeError):
+            hasher.state_words
+        resumed = SHA256.from_state(list(_H0), 64)
+        resumed.update(b"odd")
+        with pytest.raises(RuntimeError):
+            resumed.update_block_words([0] * 16)
+
+
+class TestCompressMemo:
+    def test_cache_stays_bounded(self):
+        _compress_memo.cache_clear()
+        hasher = SHA256()
+        for i in range(COMPRESS_MEMO_SIZE + 50):
+            hasher.update_block_words([i] + [0] * 15)
+        # Full (every input was distinct), yet no larger than the cap.
+        assert _compress_memo.cache_info().currsize == COMPRESS_MEMO_SIZE
+
+    def test_mutating_returned_state_does_not_leak(self):
+        block = list(range(16))
+        first = SHA256()
+        first.update_block_words(block)
+        leaked = first.state_words
+        expected = list(leaked)
+        leaked[0] ^= 0xFFFFFFFF
+        block[0] ^= 0xFFFFFFFF
+        second = SHA256()
+        second.update_block_words(list(range(16)))
+        assert second.state_words == expected == _compress(_H0, range(16))
+        assert first.state_words == expected
