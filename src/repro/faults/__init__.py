@@ -9,8 +9,7 @@ executable model and checks them:
 * :mod:`repro.faults.audit` — post-crash consistency checking (spec
   invariants via extraction plus an independent machine-level walk);
 * :mod:`repro.faults.campaign` — exhaustive per-step fault campaigns
-  over a full enclave lifecycle, with OS-side retry to completion and
-  a fast/reference differential mode;
+  over a full enclave lifecycle, with OS-side retry to completion;
 * :mod:`repro.faults.bitflip` — exhaustive single-bit-flip campaigns
   against the memory-integrity engine: every injection must end
   benign, repaired, or quarantined-and-contained, never in a silent
@@ -18,9 +17,11 @@ executable model and checks them:
 * :mod:`repro.faults.snapshot` — campaign checkpoints: capture a
   lifecycle prefix once and rewind it in place per injected fault,
   bit-identical to the per-trial deep-copy path but cheaper;
-* :mod:`repro.faults.parallel` — sharded campaign execution: trials
-  stripe across forked workers and the merged report is byte-identical
-  to the serial one (the CLIs' ``--jobs N``).
+* :mod:`repro.faults.parallel` — the campaign kernel every campaign
+  (these two and ``repro.pipeline.campaign``) runs on: one trial loop
+  (stride, serial ordinals, shard filter, watchdog), one shard merge
+  that reproduces the serial report byte for byte (the CLIs' ``--jobs
+  N``), and one multi-engine differential.
 """
 
 from repro.faults.audit import (
@@ -35,15 +36,14 @@ from repro.faults.bitflip import (
     FlipRecord,
     FlipSite,
 )
-from repro.faults.bitflip import run_differential as run_bitflip_differential
 from repro.faults.campaign import (
     CampaignReport,
     LifecycleCampaign,
     StepReport,
     TrialRecord,
-    run_differential,
 )
 from repro.faults.injector import FaultInjected, FaultPlan, inject
+from repro.faults.parallel import differential
 from repro.faults.snapshot import CampaignSnapshot
 
 __all__ = [
@@ -59,10 +59,9 @@ __all__ = [
     "StepReport",
     "TrialRecord",
     "audit_monitor",
+    "differential",
     "inject",
     "integrity_consistency",
     "machine_consistency",
-    "run_bitflip_differential",
-    "run_differential",
     "secure_state_digest",
 ]

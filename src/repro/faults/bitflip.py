@@ -35,9 +35,10 @@ immediate), not DRAM — and a flip there would silently disable the
 engine, which is exactly the corruptible-status-word failure mode the
 design avoids by *not* keying any trust decision off mutable state.
 
-``run_differential`` repeats a campaign under each requested execution
-engine (any subset of fast/reference/turbo): per-trial outcomes, final
-digests and cycle counters must agree bit-for-bit.
+``repro.faults.parallel.differential`` repeats a campaign under each
+requested execution engine (any subset of fast/reference/turbo):
+per-trial outcomes, final digests and cycle counters
+(``StepSummary.fingerprint``) must agree bit-for-bit.
 
 Trials default to snapshot acceleration (``use_snapshots=True``): each
 quiescent step state is captured once with ``CampaignSnapshot`` and
@@ -49,7 +50,6 @@ tests/faults/test_snapshot.py).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -59,7 +59,7 @@ from repro.arm.memory import PAGE_SIZE, WORDS_PER_PAGE
 from repro.arm.pagetable import l1_index, l2_index
 from repro.crypto.rng import HardwareRNG
 from repro.faults.audit import audit_monitor, integrity_consistency, secure_state_digest
-from repro.faults.snapshot import CampaignSnapshot
+from repro.faults.parallel import Campaign, ShardLayout
 from repro.monitor import integrity
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
@@ -77,7 +77,6 @@ from repro.monitor.layout import (
     pagedb_entry_addr,
 )
 from repro.osmodel.kernel import OSKernel
-from repro.util.watchdog import TrialTimeout, time_limit
 
 CODE_VA = 0x0001_0000
 DATA_VA = CODE_VA + PAGE_SIZE
@@ -219,6 +218,15 @@ class StepSummary:
     def trial_cycles(self) -> List[int]:
         return [r.cycles for r in self.flip_records]
 
+    def fingerprint(self) -> Dict[str, object]:
+        """What every engine must agree on (the differential)."""
+        return {
+            "site counts": self.sites,
+            "trial outcome classes": self.trial_outcomes,
+            "trial final digests": self.trial_digests,
+            "trial cycle counters": self.trial_cycles,
+        }
+
 
 @dataclass
 class BitflipReport:
@@ -226,6 +234,18 @@ class BitflipReport:
     seed: int
     stride: int
     steps: List[StepSummary] = field(default_factory=list)
+
+    SHARDS = ShardLayout(
+        identity=("engine", "seed", "stride"),
+        identity_error="shards disagree on campaign identity (engine/seed/stride)",
+        steps_error="shards disagree on the quiescent step sequence",
+        invariant=("sites", "pre_violations"),
+        invariant_error=(
+            "step {column.name}: shards disagree on sites or the golden run"
+        ),
+        records="flip_records",
+        key="ordinal",
+    )
 
     @property
     def violations(self) -> List[str]:
@@ -248,7 +268,7 @@ class BitflipReport:
         }
 
 
-class BitflipCampaign:
+class BitflipCampaign(Campaign):
     """Flip every (strided) bit of every monitor-critical word.
 
     Parameters
@@ -289,10 +309,7 @@ class BitflipCampaign:
         trial_timeout: Optional[float] = None,
         shard: Optional[Tuple[int, int]] = None,
     ) -> None:
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if shard is not None and not 0 <= shard[0] < shard[1]:
-            raise ValueError(f"shard index out of range: {shard}")
+        super().__init__(stride, shard, trial_timeout, use_snapshots)
         self.seed = seed
         self.engine = engine
         self.secure_pages = secure_pages
@@ -303,10 +320,6 @@ class BitflipCampaign:
             unknown = self.targets - frozenset(TARGET_FAMILIES)
             if unknown:
                 raise ValueError(f"unknown flip-target families: {sorted(unknown)}")
-        self.stride = stride
-        self.use_snapshots = use_snapshots
-        self.trial_timeout = trial_timeout
-        self.shard = shard
 
     # -- lifecycle machinery ---------------------------------------------
 
@@ -510,49 +523,13 @@ class BitflipCampaign:
 
     # -- the campaign ----------------------------------------------------
 
-    def _snapshots(self):
-        """Build both enclaves and capture the quiescent step states.
-
-        Yields ``(name, monitor, kernel, enclaves, needs_finalise)``;
-        the monitor/kernel pair in each snapshot is private to that step
-        (trials deep-copy from it).
-        """
-        monitor, kernel = self._fresh()
-        victim = self._build_enclave(kernel, "victim")
-        bystander = self._build_enclave(kernel, "bystander")
-        enclaves = (victim, bystander)
-        snapshots = []
-
-        def snap(name: str, needs_finalise: bool) -> None:
-            monitor.state.uarch.reset()
-            mon_copy, kern_copy = copy.deepcopy((monitor, kernel))
-            snapshots.append((name, mon_copy, kern_copy, enclaves, needs_finalise))
-
-        snap("built", True)
-        for enclave in enclaves:
-            kernel.finalise(enclave.as_page)
-        snap("finalised", False)
-        for enclave in enclaves:
-            err, value = kernel.run_to_completion(enclave.thread)
-            if err is not KomErr.SUCCESS or value != EXIT_VALUE:
-                raise RuntimeError(f"campaign warm-up run failed: ({err!r}, {value:#x})")
-        snap("ran", False)
-        return snapshots
-
     def run(self) -> BitflipReport:
         report = BitflipReport(
             engine=self.engine or "default", seed=self.seed, stride=self.stride
         )
-        if not self.use_snapshots:
-            for name, monitor, kernel, enclaves, needs_finalise in self._snapshots():
-                report.steps.append(
-                    self._campaign_step(name, monitor, kernel, enclaves, needs_finalise)
-                )
-            return report
-        # Snapshot mode: one machine is advanced through the quiescent
-        # phases; each campaign step checkpoints it, rewinds it per
-        # flip, and leaves it back at the pre-step state so the warm-up
-        # advancement below is identical to the deep-copy path's.
+        # One machine is advanced through the quiescent phases; each
+        # campaign step forks its trials from it and leaves it back at
+        # the pre-step state for the advancement below.
         monitor, kernel = self._fresh()
         victim = self._build_enclave(kernel, "victim")
         bystander = self._build_enclave(kernel, "bystander")
@@ -585,14 +562,7 @@ class BitflipCampaign:
         summary = StepSummary(name=name)
         sites = self._flip_sites(monitor, enclaves)
         summary.sites = len(sites)
-        if self.use_snapshots:
-            checkpoint = CampaignSnapshot(monitor, kernel)
-            fork = checkpoint.restore
-        else:
-
-            def fork() -> Tuple[KomodoMonitor, OSKernel]:
-                return copy.deepcopy((monitor, kernel))
-
+        fork, rewind = self._checkpoint(monitor, kernel)
         # Golden: the unflipped continuation every trial must reconverge to.
         gold_mon, gold_kern = fork()
         golden = self._continue_lifecycle(
@@ -604,31 +574,22 @@ class BitflipCampaign:
         if golden.rebuilt or golden.quarantine_errors:
             summary.pre_violations.append(f"{name}: golden run tripped the engine")
         pairs = [(site, bit) for site in sites for bit in range(32)]
-        # Trials are isolated (each forks/rewinds the step state), so a
-        # shard may skip any subset without perturbing the rest.
-        for ordinal, (site, bit) in enumerate(pairs[:: self.stride]):
-            if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                continue
+        for ordinal, (site, bit) in self._trials(pairs):
             record = FlipRecord(ordinal=ordinal, site=site.label, bit=bit)
             summary.flip_records.append(record)
-            try:
-                with time_limit(
-                    self.trial_timeout, f"{name} flip {site.label} bit {bit}"
-                ):
-                    self._trial(
-                        fork, enclaves, needs_finalise, site, bit, golden,
-                        summary.name, record,
-                    )
-            except TrialTimeout as exc:
-                # Keep the per-trial differential records aligned; the
-                # next fork() rewind discards the stranded machine.
-                record.outcome = "timeout"
-                record.digest = ""
-                record.cycles = -1
-                record.violations.append(f"{name}: {exc}")
-        if self.use_snapshots:
-            # Leave the base machine at the pre-step state.
-            checkpoint.restore()
+            with self._watchdog(
+                f"{name} flip {site.label} bit {bit}",
+                record,
+                name,
+                outcome="timeout",
+                digest="",
+                cycles=-1,
+            ):
+                self._trial(
+                    fork, enclaves, needs_finalise, site, bit, golden,
+                    summary.name, record,
+                )
+        rewind()
         return summary
 
     def _trial(
@@ -685,77 +646,3 @@ class BitflipCampaign:
         record.digest = outcome.final_digest
         record.cycles = outcome.final_cycles
         record.violations.extend(violations)
-
-
-def run_differential(
-    seed: int = 0xB17F11B,
-    targets: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-    shard: Optional[Tuple[int, int]] = None,
-) -> Tuple:
-    """Run the campaign under each engine and compare them bit-for-bit.
-
-    Returns ``(*reports, mismatches)`` in ``engines`` order — the
-    default two-engine call keeps the historical
-    ``(fast, reference, mismatches)`` shape.  Every trial's outcome
-    class, final digest, and cycle counter must agree — a flip must not
-    surface in one engine's decode cache, micro-TLB, or block cache and
-    not the others'.
-    """
-    if len(engines) < 2:
-        raise ValueError("differential needs at least two engines")
-    tokens = None if targets is None else tuple(targets)
-    reports = []
-    for engine in engines:
-        campaign = BitflipCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            targets=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=shard,
-        )
-        reports.append(campaign.run())
-    return (*reports, compare_reports(engines, reports))
-
-
-def compare_reports(
-    engines: Sequence[str], reports: Sequence[BitflipReport]
-) -> List[str]:
-    """Pairwise engine comparison over already-run bitflip reports.
-
-    Factored out of :func:`run_differential` so the sharded runner
-    (``repro.faults.parallel``) can recompute mismatches on *merged*
-    reports — byte-identical to what a serial differential prints.
-    """
-    base_name, baseline = engines[0], reports[0]
-    mismatches: List[str] = []
-    for engine, report in zip(engines[1:], reports[1:]):
-        for base_step, step in zip(baseline.steps, report.steps):
-            if base_step.sites != step.sites:
-                mismatches.append(
-                    f"{step.name}: site counts differ "
-                    f"({base_name} {base_step.sites}, {engine} {step.sites})"
-                )
-            if base_step.trial_outcomes != step.trial_outcomes:
-                mismatches.append(
-                    f"{step.name}: trial outcome classes differ "
-                    f"({base_name} vs {engine})"
-                )
-            if base_step.trial_digests != step.trial_digests:
-                mismatches.append(
-                    f"{step.name}: trial final digests differ "
-                    f"({base_name} vs {engine})"
-                )
-            if base_step.trial_cycles != step.trial_cycles:
-                mismatches.append(
-                    f"{step.name}: trial cycle counters differ "
-                    f"({base_name} vs {engine})"
-                )
-    return mismatches

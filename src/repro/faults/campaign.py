@@ -23,11 +23,15 @@ The campaign's enclave program performs no user-mode stores, so the
 quiescent digests classify states exactly; randomness comes only from
 the seeded ``HardwareRNG``, keeping every trial bit-deterministic.
 
-``run_differential`` runs the same campaign under each requested
-execution engine (any subset of fast/reference/turbo) and compares
-their per-step operation counts, digests, and cycle counters —
-injected aborts must not let the decode cache, micro-TLB, or compiled
-block cache desynchronise from flat memory.
+``repro.faults.parallel.differential`` runs the same campaign under
+each requested execution engine (any subset of fast/reference/turbo)
+and compares their per-step operation counts, digests, and cycle
+counters (``StepReport.fingerprint``) — injected aborts must not let
+the decode cache, micro-TLB, or compiled block cache desynchronise from
+flat memory.
+
+The stride, shard filter and per-trial watchdog are the shared trial
+protocol of ``repro.faults.parallel.Campaign``.
 
 Trials default to snapshot acceleration: the pre-step state is
 captured once per step (``CampaignSnapshot``) and rewound in place per
@@ -38,16 +42,15 @@ produce bit-identical reports.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.arm.assembler import Assembler
 from repro.arm.pagetable import l1_index
 from repro.crypto.rng import HardwareRNG
 from repro.faults.audit import audit_monitor, secure_state_digest
 from repro.faults.injector import FaultInjected, FaultPlan, inject
-from repro.faults.snapshot import CampaignSnapshot
+from repro.faults.parallel import Campaign, ShardLayout
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import SMC, SVC, Mapping, PageType
@@ -117,12 +120,38 @@ class StepReport:
         out.extend(self.post_violations)
         return out
 
+    def fingerprint(self) -> Dict[str, object]:
+        """What every engine must agree on (the differential)."""
+        return {
+            "fault points": self.fault_points,
+            "post-step state digests": self.post_digest,
+            "cycle counters": self.post_cycles,
+        }
+
 
 @dataclass
 class CampaignReport:
     engine: str
     seed: int
     steps: List[StepReport] = field(default_factory=list)
+
+    SHARDS = ShardLayout(
+        identity=("engine", "seed"),
+        identity_error="shards disagree on campaign identity (engine/seed)",
+        steps_error="shards disagree on the lifecycle step sequence",
+        invariant=(
+            "fault_points",
+            "pre_violations",
+            "post_violations",
+            "post_digest",
+            "post_cycles",
+        ),
+        invariant_error=(
+            "step {column.name}: shards disagree on discovery/clean-run state"
+        ),
+        records="trial_records",
+        key="ordinal",
+    )
 
     @property
     def violations(self) -> List[str]:
@@ -155,7 +184,7 @@ def _program_words() -> List[int]:
     return asm.assemble()
 
 
-class LifecycleCampaign:
+class LifecycleCampaign(Campaign):
     """Run the exhaustive per-step fault campaign.
 
     Parameters
@@ -203,18 +232,11 @@ class LifecycleCampaign:
         trial_timeout: Optional[float] = None,
         shard: Optional[Tuple[int, int]] = None,
     ) -> None:
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if shard is not None and not 0 <= shard[0] < shard[1]:
-            raise ValueError(f"shard index out of range: {shard}")
+        super().__init__(stride, shard, trial_timeout, use_snapshots)
         self.seed = seed
         self.engine = engine
         self.secure_pages = secure_pages
         self.inject_steps = None if inject_steps is None else tuple(inject_steps)
-        self.stride = stride
-        self.use_snapshots = use_snapshots
-        self.trial_timeout = trial_timeout
-        self.shard = shard
 
     # -- machinery -------------------------------------------------------
 
@@ -265,13 +287,6 @@ class LifecycleCampaign:
             step.name == token or step.name.startswith(token)
             for token in self.inject_steps
         )
-
-    @staticmethod
-    def _copy(monitor: KomodoMonitor) -> KomodoMonitor:
-        # Decoded-instruction caches are heavy and rebuildable; reset
-        # before copying so snapshots stay cheap.
-        monitor.state.uarch.reset()
-        return copy.deepcopy(monitor)
 
     @staticmethod
     def _run_step(monitor: KomodoMonitor, step: _Step) -> None:
@@ -363,26 +378,10 @@ class LifecycleCampaign:
         step_report: StepReport,
     ) -> None:
         step = steps[index]
-        if self.use_snapshots:
-            # Capture the pre-step state once; every probe/trial below
-            # is an in-place rewind of `base` itself.
-            checkpoint = CampaignSnapshot(base)
-
-            def fork() -> KomodoMonitor:
-                monitor, _ = checkpoint.restore()
-                return monitor
-
-            cleanup = fork
-        else:
-
-            def fork() -> KomodoMonitor:
-                return self._copy(base)
-
-            def cleanup() -> KomodoMonitor:
-                return base
-
+        # Every probe/trial below forks the pre-step state of `base`.
+        fork, rewind = self._checkpoint(base)
         # Discovery: count operations and snapshot quiescent boundaries.
-        probe = fork()
+        probe, _ = fork()
         boundaries = {secure_state_digest(probe.state)}
         plan = FaultPlan(
             on_boundary=lambda state: boundaries.add(secure_state_digest(state))
@@ -393,30 +392,21 @@ class LifecycleCampaign:
                     self._run_step(probe, step)
         except TrialTimeout as exc:
             step_report.pre_violations.append(f"{step.name}: {exc}")
-            cleanup()
+            rewind()
             return
         boundaries.add(secure_state_digest(probe.state))
         step_report.fault_points = plan.count
-        # Trials: crash at every (stride-th) operation.  Trials are
-        # isolated (each forks/rewinds the pre-step state), so a shard
-        # may skip any subset without perturbing the rest.
-        for ordinal, abort_at in enumerate(range(1, plan.count + 1, self.stride)):
-            if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                continue
-            trial = fork()
+        # Trials: crash at every (stride-th) operation.
+        for ordinal, abort_at in self._trials(range(1, plan.count + 1)):
+            trial, _ = fork()
             record = TrialRecord(ordinal=ordinal, abort_at=abort_at)
             step_report.trial_records.append(record)
-            try:
-                with time_limit(self.trial_timeout, f"{step.name} op {abort_at}"):
-                    self._trial(
-                        trial, steps, index, abort_at, boundaries, record.violations
-                    )
-            except TrialTimeout as exc:
-                # A timeout may strand the trial machine mid-step; the
-                # next fork() rewind (or throwaway copy) discards it.
-                record.violations.append(f"{step.name}: {exc}")
+            with self._watchdog(f"{step.name} op {abort_at}", record, step.name):
+                self._trial(
+                    trial, steps, index, abort_at, boundaries, record.violations
+                )
         # Leave `base` at the pre-step state for the clean run.
-        cleanup()
+        rewind()
 
     def _trial(
         self,
@@ -451,74 +441,3 @@ class LifecycleCampaign:
                 f"{where}: recovered state is neither pre-call nor completed"
             )
         violations.extend(self._finish_after_crash(trial, steps, index))
-
-
-def run_differential(
-    seed: int = 0xC0FFEE,
-    inject_steps: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-    shard: Optional[Tuple[int, int]] = None,
-) -> Tuple:
-    """Run the campaign under each engine and compare them pairwise.
-
-    Returns ``(*reports, mismatches)`` in ``engines`` order — the
-    default two-engine call keeps the historical
-    ``(fast, reference, mismatches)`` shape.  All engines must agree
-    on every step's operation count, post-step digest, and cycle
-    counter: an injected abort that left the decode cache, micro-TLB,
-    or block cache inconsistent with flat memory would show up here.
-    """
-    if len(engines) < 2:
-        raise ValueError("differential needs at least two engines")
-    tokens = None if inject_steps is None else tuple(inject_steps)
-    reports = []
-    for engine in engines:
-        campaign = LifecycleCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            inject_steps=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=shard,
-        )
-        reports.append(campaign.run())
-    return (*reports, compare_reports(engines, reports))
-
-
-def compare_reports(
-    engines: Sequence[str], reports: Sequence[CampaignReport]
-) -> List[str]:
-    """Pairwise engine comparison over already-run campaign reports.
-
-    Factored out of :func:`run_differential` so the sharded runner
-    (``repro.faults.parallel``) can recompute mismatches on *merged*
-    reports — byte-identical to what a serial differential prints.
-    """
-    base_name, baseline = engines[0], reports[0]
-    mismatches: List[str] = []
-    for engine, report in zip(engines[1:], reports[1:]):
-        for base_step, step in zip(baseline.steps, report.steps):
-            if base_step.fault_points != step.fault_points:
-                mismatches.append(
-                    f"{step.name}: fault points differ "
-                    f"({base_name} {base_step.fault_points}, "
-                    f"{engine} {step.fault_points})"
-                )
-            if base_step.post_digest != step.post_digest:
-                mismatches.append(
-                    f"{step.name}: post-step state digests differ "
-                    f"({base_name} vs {engine})"
-                )
-            if base_step.post_cycles != step.post_cycles:
-                mismatches.append(
-                    f"{step.name}: cycle counters differ "
-                    f"({base_name} {base_step.post_cycles}, "
-                    f"{engine} {step.post_cycles})"
-                )
-    return mismatches

@@ -1,40 +1,46 @@
-"""Sharded campaign execution: fork workers, merge byte-identical reports.
+"""The campaign kernel: one trial protocol, sharded and merged byte-identical.
 
-Campaign trials are *embarrassingly parallel by construction*: every
-trial forks (or rewinds) the same captured pre-step state, so a shard
-that runs only every ``count``-th trial produces exactly the records a
-serial run would have produced for those ordinals.  This module supplies
-the three pieces that turn that property into a ``--jobs N`` flag:
+The lifecycle, bit-flip and pipeline campaigns all run the same
+protocol, written once here:
 
-* :func:`run_shards` — fork ``jobs`` worker processes (POSIX ``fork``
-  start method, so the workload closure is inherited, not pickled) and
-  collect one picklable result per shard over a pipe;
-* ``merge_*_reports`` — deterministic merges that check every
-  shard-invariant field (discovery counts, golden digests, clean-run
-  audits) for agreement and interleave the per-trial records back into
-  serial order.  The merged report is **byte-identical** to the serial
-  report — :func:`report_digest` is the oracle CI pins that claim with;
-* sharded front-ends for the lifecycle, bitflip, and pipeline campaigns
-  (plus their tri-engine differentials) and for symbex witness replay.
+* :class:`Campaign` — the trial loop.  Enumerate the trial points at a
+  stride, number them by *serial* ordinal, keep those whose ordinal is
+  ``index`` modulo ``count`` for a ``shard=(index, count)``, and run
+  each under the per-trial watchdog (``repro.util.watchdog``).  Every
+  trial forks (or rewinds) the same captured pre-trial state, so a shard
+  produces exactly the records a serial run produces for its ordinals;
+* :func:`merge_reports` — each report type names, in a
+  :class:`ShardLayout`, the fields every shard must reproduce
+  (discovery counts, golden digests, clean-run audits) and its ordinal-
+  keyed record list.  The merge checks the former for agreement and
+  interleaves the latter back into serial order, so the merged report is
+  **byte-identical** to the serial one — :func:`report_digest` is the
+  oracle CI pins that claim with;
+* :func:`run_shards` and :func:`run_sharded` — fork ``jobs`` worker
+  processes (POSIX ``fork``, so the workload closure is inherited, not
+  pickled), run one shard each and merge (the CLIs' ``--jobs N``);
+* :func:`differential` — run one campaign factory per execution engine
+  and compare the reports step by step on each step type's
+  ``fingerprint()``.
 
 Each forked shard is a fresh process with its own main thread, so the
-campaigns' ``trial_timeout`` watchdog (``repro.util.watchdog``, SIGALRM
-based) keeps working inside shards unchanged.
+SIGALRM-based trial watchdog keeps working inside shards unchanged.
+Symbex witness replay shards the same way (:func:`check_witnesses_sharded`).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.faults import bitflip as _bitflip
-from repro.faults import campaign as _campaign
-from repro.faults.bitflip import BitflipCampaign, BitflipReport, StepSummary
-from repro.faults.campaign import CampaignReport, LifecycleCampaign, StepReport
+from repro.faults.snapshot import CampaignSnapshot
+from repro.util.watchdog import TrialTimeout, time_limit
 
 
 class ShardError(RuntimeError):
@@ -43,6 +49,89 @@ class ShardError(RuntimeError):
 
 class MergeError(AssertionError):
     """Shard reports disagree on a field every shard must reproduce."""
+
+
+# -- the trial loop ---------------------------------------------------------
+
+
+class Campaign:
+    """The trial protocol every fault campaign runs.
+
+    ``stride`` keeps every ``stride``-th trial point (1 = exhaustive);
+    ``shard=(index, count)`` keeps only the trials whose serial ordinal
+    is ``index`` modulo ``count``; ``trial_timeout`` (seconds, None =
+    off) bounds each trial's wall-clock time; ``use_snapshots=False``
+    forks trials by deep copy instead of snapshot rewind (same reports,
+    slower — the oracle the snapshot path is checked against).
+    """
+
+    def __init__(
+        self,
+        stride: int = 1,
+        shard: Optional[Tuple[int, int]] = None,
+        trial_timeout: Optional[float] = None,
+        use_snapshots: bool = True,
+    ) -> None:
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        if shard is not None and not 0 <= shard[0] < shard[1]:
+            raise ValueError(f"shard index out of range: {shard}")
+        self.stride = stride
+        self.shard = shard
+        self.trial_timeout = trial_timeout
+        self.use_snapshots = use_snapshots
+
+    def _checkpoint(self, monitor, kernel=None):
+        """Capture the pre-trial state once; returns ``(fork, rewind)``.
+
+        ``fork()`` returns a ``(monitor, kernel)`` pair at the captured
+        state for one trial — the originals rewound in place, or a deep
+        copy when snapshots are off.  ``rewind()`` leaves the originals
+        at the captured state.
+        """
+        if self.use_snapshots:
+            checkpoint = CampaignSnapshot(monitor, kernel)
+            return checkpoint.restore, checkpoint.restore
+
+        def fork():
+            # Decoded-instruction caches are heavy and rebuildable;
+            # reset before copying so copies stay cheap.
+            monitor.state.uarch.reset()
+            return copy.deepcopy((monitor, kernel))
+
+        return fork, lambda: None
+
+    def _trials(
+        self, points: Sequence, keep_last: bool = False
+    ) -> Iterator[Tuple[int, object]]:
+        """``(ordinal, point)`` for this shard's share of the strided points.
+
+        ``keep_last`` appends the final point when the stride skips it.
+        Trials are isolated (each forks or rewinds the same state), so a
+        shard may skip any subset without perturbing the rest.
+        """
+        chosen = list(points)[:: self.stride]
+        if keep_last and chosen and chosen[-1] != points[-1]:
+            chosen.append(points[-1])
+        for ordinal, point in enumerate(chosen):
+            if self.shard is None or ordinal % self.shard[1] == self.shard[0]:
+                yield ordinal, point
+
+    @contextmanager
+    def _watchdog(self, label: str, record, step: str, **timed_out) -> Iterator:
+        """Run one trial under the watchdog.
+
+        A wedged trial keeps its record — so differential records stay
+        aligned — with ``timed_out`` field values and a violation; the
+        next fork or rewind discards the stranded machine.
+        """
+        try:
+            with time_limit(self.trial_timeout, label):
+                yield
+        except TrialTimeout as exc:
+            for name, value in timed_out.items():
+                setattr(record, name, value)
+            record.violations.append(f"{step}: {exc}")
 
 
 # -- process scaffolding ----------------------------------------------------
@@ -143,322 +232,141 @@ def report_digest(report) -> str:
 # -- merges -----------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class ShardLayout:
+    """How one report type's shards merge back into the serial report.
+
+    A report is a list of *columns* — its ``steps``, or the report
+    itself when ``steps`` is None.  Each column holds fields every shard
+    reproduces (``invariant``, plus its first ``head`` records, such as
+    a pipeline's golden trial) and a ``records`` list the shards split
+    by the ordinal field ``key``.  The ``*_error`` texts are the
+    :class:`MergeError` messages for each kind of disagreement.
+    """
+
+    identity: Tuple[str, ...]
+    identity_error: str
+    invariant: Tuple[str, ...]
+    invariant_error: str  # formatted with the column as ``column``
+    records: str
+    key: str
+    steps: Optional[str] = "steps"
+    steps_error: str = ""
+    head: int = 0
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise MergeError(message)
 
 
-def _merge_records(columns, field: str, key) -> List:
-    records = sorted(
-        (record for column in columns for record in getattr(column, field)),
-        key=key,
-    )
-    ordinals = [key(record) for record in records]
-    _require(
-        len(set(ordinals)) == len(ordinals),
-        f"duplicate trial ordinals across shards: {field}",
-    )
-    return records
-
-
-def merge_campaign_reports(shards: Sequence[CampaignReport]) -> CampaignReport:
-    """Merge sharded lifecycle reports into the serial report."""
+def merge_reports(shards: Sequence):
+    """Merge one campaign's shard reports into its serial report."""
     _require(bool(shards), "no shard reports to merge")
     first = shards[0]
+    layout: ShardLayout = first.SHARDS
+
+    def identity(report) -> tuple:
+        return tuple(getattr(report, name) for name in layout.identity)
+
+    def columns(report) -> list:
+        return [report] if layout.steps is None else getattr(report, layout.steps)
+
+    def invariant(column) -> tuple:
+        head = getattr(column, layout.records)[: layout.head]
+        return (*(getattr(column, name) for name in layout.invariant), head)
+
     for other in shards[1:]:
         _require(
-            (other.engine, other.seed) == (first.engine, first.seed),
-            "shards disagree on campaign identity (engine/seed)",
+            identity(other) == identity(first), layout.identity_error
         )
-        _require(
-            [s.name for s in other.steps] == [s.name for s in first.steps],
-            "shards disagree on the lifecycle step sequence",
-        )
-    merged = CampaignReport(engine=first.engine, seed=first.seed)
-    for index, base in enumerate(first.steps):
-        columns = [shard.steps[index] for shard in shards]
-        for column in columns[1:]:
+        if layout.steps is not None:
             _require(
-                (
-                    column.fault_points,
-                    column.pre_violations,
-                    column.post_violations,
-                    column.post_digest,
-                    column.post_cycles,
-                )
-                == (
-                    base.fault_points,
-                    base.pre_violations,
-                    base.post_violations,
-                    base.post_digest,
-                    base.post_cycles,
-                ),
-                f"step {base.name}: shards disagree on discovery/clean-run state",
+                [s.name for s in columns(other)] == [s.name for s in columns(first)],
+                layout.steps_error,
             )
-        merged.steps.append(
-            StepReport(
-                name=base.name,
-                fault_points=base.fault_points,
-                pre_violations=list(base.pre_violations),
-                trial_records=_merge_records(
-                    columns, "trial_records", lambda r: r.ordinal
-                ),
-                post_violations=list(base.post_violations),
-                post_digest=base.post_digest,
-                post_cycles=base.post_cycles,
-            )
-        )
-    return merged
-
-
-def merge_bitflip_reports(shards: Sequence[BitflipReport]) -> BitflipReport:
-    """Merge sharded bitflip reports into the serial report."""
-    _require(bool(shards), "no shard reports to merge")
-    first = shards[0]
-    for other in shards[1:]:
-        _require(
-            (other.engine, other.seed, other.stride)
-            == (first.engine, first.seed, first.stride),
-            "shards disagree on campaign identity (engine/seed/stride)",
-        )
-        _require(
-            [s.name for s in other.steps] == [s.name for s in first.steps],
-            "shards disagree on the quiescent step sequence",
-        )
-    merged = BitflipReport(engine=first.engine, seed=first.seed, stride=first.stride)
-    for index, base in enumerate(first.steps):
-        columns = [shard.steps[index] for shard in shards]
-        for column in columns[1:]:
+    merged = []
+    for index, base in enumerate(columns(first)):
+        column = [columns(shard)[index] for shard in shards]
+        for other in column[1:]:
             _require(
-                (column.sites, column.pre_violations)
-                == (base.sites, base.pre_violations),
-                f"step {base.name}: shards disagree on sites or the golden run",
+                invariant(other) == invariant(base),
+                layout.invariant_error.format(column=base),
             )
-        merged.steps.append(
-            StepSummary(
-                name=base.name,
-                sites=base.sites,
-                pre_violations=list(base.pre_violations),
-                flip_records=_merge_records(
-                    columns, "flip_records", lambda r: r.ordinal
-                ),
-            )
+        records = sorted(
+            (
+                record
+                for shard_column in column
+                for record in getattr(shard_column, layout.records)[layout.head :]
+            ),
+            key=lambda record: getattr(record, layout.key),
         )
-    return merged
-
-
-def merge_pipeline_reports(shards: Sequence):
-    """Merge sharded pipeline chaos reports into the serial report.
-
-    Every shard runs the golden (kill-point 0) trial itself — the merge
-    asserts they agree and keeps one; kill trials interleave by their
-    strictly-ascending kill points.
-    """
-    from repro.pipeline.campaign import PipelineReport
-
-    _require(bool(shards), "no shard reports to merge")
-    first = shards[0]
-    for other in shards[1:]:
+        ordinals = [getattr(record, layout.key) for record in records]
         _require(
-            (other.pipeline, other.engine, other.ops, other.golden_digest)
-            == (first.pipeline, first.engine, first.ops, first.golden_digest),
-            "shards disagree on the golden run (pipeline/engine/ops/digest)",
+            len(set(ordinals)) == len(ordinals),
+            f"duplicate trial ordinals across shards: {layout.records}",
         )
-        _require(
-            bool(other.trials) and other.trials[0] == first.trials[0],
-            "shards disagree on the golden trial verdict",
-        )
-    merged = PipelineReport(
-        pipeline=first.pipeline,
-        engine=first.engine,
-        ops=first.ops,
-        golden_digest=first.golden_digest,
-    )
-    merged.trials.append(first.trials[0])
-    merged.trials.extend(
-        _merge_records(
-            [_Trials(shard.trials[1:]) for shard in shards],
-            "trials",
-            lambda t: t.kill_point,
-        )
-    )
-    return merged
+        head = getattr(base, layout.records)[: layout.head]
+        merged.append(dataclasses.replace(base, **{layout.records: head + records}))
+    if layout.steps is None:
+        return merged[0]
+    return dataclasses.replace(first, **{layout.steps: merged})
 
 
-@dataclasses.dataclass
-class _Trials:
-    """Adapter so :func:`_merge_records` can walk plain trial lists."""
-
-    trials: List
+# -- sharded runs and differentials -----------------------------------------
 
 
-# -- sharded campaign front-ends --------------------------------------------
-
-
-def run_lifecycle_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xC0FFEE,
-    engine: Optional[str] = None,
-    secure_pages: int = 16,
-    inject_steps: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> CampaignReport:
-    tokens = None if inject_steps is None else tuple(inject_steps)
-
-    def shard(index: int, count: int) -> CampaignReport:
-        return LifecycleCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            inject_steps=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        ).run()
-
-    return merge_campaign_reports(run_shards(shard, jobs))
-
-
-def run_lifecycle_differential_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xC0FFEE,
-    inject_steps: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> Tuple:
-    """Sharded tri-engine differential: ``(*reports, mismatches)``.
-
-    Each shard runs *all* engines on its trial subset (the engine loop
-    is the inner, cheap dimension; the trial sweep is the outer one),
-    reports merge per engine, and mismatches are recomputed on the
-    merged reports — identical to the serial differential's output.
-    """
-    tokens = None if inject_steps is None else tuple(inject_steps)
-
-    def shard(index: int, count: int) -> Tuple[CampaignReport, ...]:
-        results = _campaign.run_differential(
-            seed=seed,
-            inject_steps=tokens,
-            stride=stride,
-            secure_pages=secure_pages,
-            engines=engines,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        )
-        return tuple(results[:-1])  # per-shard mismatches are recomputed
-
-    per_shard = run_shards(shard, jobs)
-    merged = [
-        merge_campaign_reports([shard_reports[i] for shard_reports in per_shard])
-        for i in range(len(engines))
-    ]
-    return (*merged, _campaign.compare_reports(engines, merged))
-
-
-def run_bitflip_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xB17F11B,
-    engine: Optional[str] = None,
-    secure_pages: int = 16,
-    targets: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> BitflipReport:
-    tokens = None if targets is None else tuple(targets)
-
-    def shard(index: int, count: int) -> BitflipReport:
-        return BitflipCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            targets=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        ).run()
-
-    return merge_bitflip_reports(run_shards(shard, jobs))
-
-
-def run_bitflip_differential_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xB17F11B,
-    targets: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> Tuple:
-    """Sharded bitflip differential: ``(*reports, mismatches)``."""
-    tokens = None if targets is None else tuple(targets)
-
-    def shard(index: int, count: int) -> Tuple[BitflipReport, ...]:
-        results = _bitflip.run_differential(
-            seed=seed,
-            targets=tokens,
-            stride=stride,
-            secure_pages=secure_pages,
-            engines=engines,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        )
-        return tuple(results[:-1])
-
-    per_shard = run_shards(shard, jobs)
-    merged = [
-        merge_bitflip_reports([shard_reports[i] for shard_reports in per_shard])
-        for i in range(len(engines))
-    ]
-    return (*merged, _bitflip.compare_reports(engines, merged))
-
-
-def run_pipeline_sharded(
-    kind: str,
-    jobs: int,
-    *,
-    engine: str = "turbo",
-    seed: Optional[int] = None,
-    stride: int = 1,
-    requests=None,
-    secure_pages: Optional[int] = None,
-):
-    """Sharded pipeline chaos sweep, merged back to the serial report."""
-    from repro.pipeline.campaign import (
-        DEFAULT_SECURE_PAGES,
-        DEFAULT_SEED,
-        PipelineCampaign,
-    )
-
-    the_seed = DEFAULT_SEED if seed is None else seed
-    pages = DEFAULT_SECURE_PAGES if secure_pages is None else secure_pages
+def run_sharded(make_campaign: Callable, jobs: int):
+    """Run ``make_campaign(shard).run()`` across ``jobs`` forked shards
+    and merge the reports; ``jobs == 1`` runs ``make_campaign(None)``
+    serially in-process."""
 
     def shard(index: int, count: int):
-        return PipelineCampaign(
-            kind,
-            engine=engine,
-            seed=the_seed,
-            stride=stride,
-            requests=requests,
-            secure_pages=pages,
-            shard=(index, count) if count > 1 else None,
-        ).run()
+        return make_campaign((index, count) if count > 1 else None).run()
 
-    return merge_pipeline_reports(run_shards(shard, jobs))
+    return merge_reports(run_shards(shard, jobs))
+
+
+def differential(
+    make_campaign: Callable[[str, Optional[Tuple[int, int]]], object],
+    engines: Sequence[str],
+    jobs: int = 1,
+) -> Tuple:
+    """Run ``make_campaign(engine, shard)`` under each engine and compare.
+
+    Returns ``(*reports, mismatches)`` in ``engines`` order.  Every
+    engine's report must agree with the first one's on every step's
+    ``fingerprint()``: an injected fault that desynchronised a decode
+    cache, micro-TLB or block cache from flat memory shows up here.
+    """
+    if len(engines) < 2:
+        raise ValueError("differential needs at least two engines")
+    reports = [
+        run_sharded(lambda shard, engine=engine: make_campaign(engine, shard), jobs)
+        for engine in engines
+    ]
+    return (*reports, compare_reports(engines, reports))
+
+
+def compare_reports(engines: Sequence[str], reports: Sequence) -> List[str]:
+    """Pairwise engine comparison of already-run reports, step by step.
+
+    Counts that differ are printed; digests and per-trial lists are not.
+    """
+    base_name, baseline = engines[0], reports[0]
+    mismatches: List[str] = []
+    for engine, report in zip(engines[1:], reports[1:]):
+        for base_step, step in zip(baseline.steps, report.steps):
+            theirs = step.fingerprint()
+            for what, ours in base_step.fingerprint().items():
+                if ours == theirs[what]:
+                    continue
+                if isinstance(ours, int):
+                    detail = f"{base_name} {ours}, {engine} {theirs[what]}"
+                else:
+                    detail = f"{base_name} vs {engine}"
+                mismatches.append(f"{step.name}: {what} differ ({detail})")
+    return mismatches
 
 
 def check_witnesses_sharded(

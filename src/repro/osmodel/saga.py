@@ -24,7 +24,7 @@ for the OS's own bookkeeping, which needs no monitor involvement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.monitor.errors import KomErr
 from repro.monitor.layout import SMC
@@ -79,6 +79,7 @@ def stage_pump(
     saga: SagaState,
     stage,
     *,
+    in_flight: Callable[[], bool],
     crash_budget: int = DEFAULT_CRASH_BUDGET,
     policy: BackoffPolicy = RESPAWN_POLICY,
     start_after_rounds: int = 0,
@@ -87,20 +88,31 @@ def stage_pump(
 
     ``start_after_rounds`` delays the pump's first poll — modelling a
     starved or slowly-scheduled stage, which the compensation tests use
-    to hold a transaction open long enough to abort it.
+    to hold a transaction open long enough to abort it.  ``in_flight``
+    reports whether a stage-to-stage link still holds a frame; once the
+    saga is done the pump keeps polling until it is false.
     """
     thread = stage.handle.thread
     name = stage.name
 
     def factory(core_id: int):
         return _pump_script(
-            saga, name, thread, core_id, crash_budget, policy, start_after_rounds
+            saga,
+            name,
+            thread,
+            core_id,
+            crash_budget,
+            policy,
+            start_after_rounds,
+            in_flight,
         )
 
     return factory
 
 
-def _pump_script(saga, name, thread, core_id, crash_budget, policy, start_after):
+def _pump_script(
+    saga, name, thread, core_id, crash_budget, policy, start_after, in_flight
+):
     backoff = policy.session(seed=core_id * 7919 + 1)
     crashes = 0
 
@@ -116,19 +128,26 @@ def _pump_script(saga, name, thread, core_id, crash_budget, policy, start_after)
             raise error
         return backoff.next_delay() or 1
 
+    def settled() -> bool:
+        # The coordinator holding every reply is not enough: a frame
+        # still queued on a stage-to-stage link (the egress stage's
+        # final ACK, say) would leave its receiver's committed state one
+        # phase behind the fault-free run for good.
+        return saga.done and (saga.error is not None or not in_flight())
+
     for _ in range(start_after):
         if saga.done:
             return
         yield ("yield",)
-    while not saga.done:
+    while not settled():
         result = yield ("smc", SMC.ENTER, thread, st.OP_POLL, 0, 0)
-        while not saga.done:
+        while not settled():
             if result is None:
                 # Crash mid-poll: the monitor recovered, the stage's
                 # generator is gone.  Back off, then respawn — the poll
                 # round is idempotent by construction.
                 for _ in range(_crashed()):
-                    if saga.done:
+                    if settled():
                         return
                     yield ("yield",)
                 result = yield ("smc", SMC.ENTER, thread, st.OP_POLL, 0, 0)
@@ -146,7 +165,7 @@ def _pump_script(saga, name, thread, core_id, crash_budget, policy, start_after)
             # respawn attempt so a wedged stage ends in a typed error
             # rather than an endless poll loop.
             for _ in range(_crashed()):
-                if saga.done:
+                if settled():
                     return
                 yield ("yield",)
             result = yield ("smc", SMC.ENTER, thread, st.OP_POLL, 0, 0)
@@ -343,6 +362,7 @@ def run_pipeline(
                 crash_budget=crash_budget,
                 policy=respawn_policy,
                 start_after_rounds=delays.get(stage.name, 0),
+                in_flight=pipeline.links_in_flight,
             )
         )
     machine.run(max_steps=max_steps)

@@ -35,6 +35,7 @@ from repro.crypto.rng import HardwareRNG
 from repro.crypto.sha256 import sha256
 from repro.faults.audit import audit_monitor
 from repro.faults.injector import FaultPlan, inject
+from repro.faults.parallel import Campaign, ShardLayout
 from repro.faults.snapshot import CampaignSnapshot
 from repro.monitor.komodo import KomodoMonitor
 from repro.multicore.scheduler import MultiCoreMachine
@@ -162,6 +163,21 @@ class PipelineReport:
     def ok(self) -> bool:
         return not self.violations
 
+    #: Every shard runs the golden trial (kill point 0); the merge keeps
+    #: one and interleaves the kill trials by kill point.
+    SHARDS = ShardLayout(
+        identity=("pipeline", "engine", "ops", "golden_digest"),
+        identity_error=(
+            "shards disagree on the golden run (pipeline/engine/ops/digest)"
+        ),
+        invariant=(),
+        invariant_error="shards disagree on the golden trial verdict",
+        records="trials",
+        key="kill_point",
+        steps=None,
+        head=1,
+    )
+
 
 def outcome_digest(
     pipeline: Pipeline, outcome: PipelineOutcome
@@ -198,7 +214,7 @@ def _reply_values(pipeline: Pipeline, outcome: PipelineOutcome) -> List[int]:
     return values
 
 
-class PipelineCampaign:
+class PipelineCampaign(Campaign):
     """Sweep stage-kill points across one pipeline's golden run."""
 
     def __init__(
@@ -214,17 +230,10 @@ class PipelineCampaign:
         with_checksum: Optional[bool] = None,
         shard: Optional[Tuple[int, int]] = None,
     ):
-        if stride < 1:
-            raise ValueError("stride must be at least 1")
-        if shard is not None:
-            index, count = shard
-            if count < 1 or not 0 <= index < count:
-                raise ValueError(f"bad shard {shard!r}")
+        super().__init__(stride, shard)
         self.kind = kind
-        self.shard = shard
         self.engine = engine
         self.seed = seed
-        self.stride = stride
         self.max_steps = max_steps
         self.requests = [list(r) for r in (requests or default_requests(kind))]
         self.monitor = KomodoMonitor(
@@ -255,15 +264,7 @@ class PipelineCampaign:
 
     def _run_once(self, plan: Optional[FaultPlan]) -> PipelineOutcome:
         self.snapshot.restore()
-        if plan is None:
-            return run_pipeline(
-                self.pipeline,
-                self.machine,
-                self.requests,
-                checksum=self.checksum,
-                max_steps=self.max_steps,
-            )
-        with inject(self.monitor.state, plan):
+        with inject(self.monitor.state, plan):  # a None plan injects nothing
             return run_pipeline(
                 self.pipeline,
                 self.machine,
@@ -338,27 +339,13 @@ class PipelineCampaign:
             self._check_state(_reply_values(self.pipeline, golden))
         )
         report.trials.append(golden_trial)
-        kill_points = list(range(1, report.ops + 1, self.stride))
-        if kill_points and kill_points[-1] != report.ops:
-            kill_points.append(report.ops)
-        for ordinal, kill_point in enumerate(kill_points):
-            # Shards split the kill-point list by serial ordinal; the
-            # golden trial above runs in every shard (the merge asserts
-            # they agree) and trials rewind to the shared snapshot, so
-            # skipping some cannot perturb the rest.
-            if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                continue
+        # The last op is always a kill point, whatever the stride.
+        for _, kill_point in self._trials(range(1, report.ops + 1), keep_last=True):
             plan = FaultPlan(abort_at=kill_point)
             report.trials.append(
                 self._trial(kill_point, plan, report.golden_digest)
             )
         return report
-
-    def teardown(self) -> None:
-        # Trials leave the monitor mid-lifecycle; nothing to unwind —
-        # the campaign owns its monitor.  Kept for symmetry with the
-        # service wrappers.
-        pass
 
 
 def run_campaign(

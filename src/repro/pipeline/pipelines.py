@@ -114,6 +114,18 @@ class Pipeline:
     def logical_state(self) -> Dict[str, List[int]]:
         return {stage.name: stage.active_slot() for stage in self.stages}
 
+    def links_in_flight(self) -> bool:
+        """Whether a stage-to-stage link still holds a queued frame.
+
+        Read from the ring cursors of the channel pages, which the OS
+        owns; the requester edges (ingress/egress) do not count.
+        """
+        return any(
+            Channel(HostEndpoint(self.kernel, base)).pending()
+            for name, base in self.channels.items()
+            if name not in ("ingress", "egress")
+        )
+
     def teardown(self) -> None:
         for stage in self.stages:
             stage.handle.teardown()

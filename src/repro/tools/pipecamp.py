@@ -27,18 +27,24 @@ sweep serially in-process and fails on any digest divergence.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import List, Optional
 
-from repro.faults.parallel import report_digest, run_pipeline_sharded
+from repro.faults.parallel import run_sharded
 from repro.pipeline.campaign import (
     DEFAULT_SEED,
+    PipelineCampaign,
     PipelineReport,
-    run_campaign,
     tri_engine_digests,
 )
 from repro.pipeline.pipelines import PIPELINE_KINDS
+from repro.tools.campaigncli import (
+    campaign_parser,
+    parse,
+    print_violations,
+    report_and_verify,
+    split_list,
+)
 from repro.util.watchdog import TrialTimeout, time_limit
 
 _ENGINES = ("fast", "reference", "turbo")
@@ -50,114 +56,98 @@ def _print_report(report: PipelineReport) -> None:
         f"kill-points={report.kill_points} bit-exact={report.bit_exact} "
         f"typed-retryable={report.retryable}"
     )
-    for violation in report.violations[:20]:
-        print(f"  FAIL: {violation}")
-    if len(report.violations) > 20:
-        print(f"  ... and {len(report.violations) - 20} more")
+    print_violations(report.violations)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.pipecamp",
-        description="crash composite enclave pipelines at every monitor "
+    parser = campaign_parser(
+        "python -m repro.tools.pipecamp",
+        "crash composite enclave pipelines at every monitor "
         "op; gate on bit-exact-or-typed-retryable termination",
+        [
+            ("--check", dict(help="exit 1 on any violation or hang (CI gate)")),
+            (
+                "--stride",
+                dict(
+                    default=7,
+                    help="sample every N-th monitor op as a kill point "
+                    "(1 = exhaustive)",
+                ),
+            ),
+            (
+                "--pipelines",
+                dict(
+                    help=f"comma-separated pipeline kinds (default: all: "
+                    f"{','.join(sorted(PIPELINE_KINDS))})"
+                ),
+            ),
+            (
+                "--engine",
+                dict(
+                    choices=_ENGINES + ("all",),
+                    help="execution engine for the sweep; 'all' adds the tri-engine "
+                    "golden differential leg",
+                ),
+            ),
+            ("--seed", dict(default=DEFAULT_SEED)),
+            (
+                "--timeout",
+                dict(
+                    help="wall-clock watchdog over the whole campaign (CI safety net)"
+                ),
+            ),
+            (
+                "--jobs",
+                dict(
+                    help="shard kill points across N forked workers; the merged "
+                    "report is byte-identical to the serial run (1 = serial)"
+                ),
+            ),
+            (
+                "--verify-serial",
+                dict(
+                    help="also run each sweep serially and fail unless the report "
+                    "digests match the --jobs run exactly"
+                ),
+            ),
+        ],
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 on any violation or hang (CI gate)",
-    )
-    parser.add_argument(
-        "--stride",
-        type=int,
-        default=7,
-        help="sample every N-th monitor op as a kill point (1 = exhaustive)",
-    )
-    parser.add_argument(
-        "--pipelines",
-        default=None,
-        help=f"comma-separated pipeline kinds (default: all: "
-        f"{','.join(sorted(PIPELINE_KINDS))})",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=_ENGINES + ("all",),
-        default="turbo",
-        help="execution engine for the sweep; 'all' adds the tri-engine "
-        "golden differential leg",
-    )
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog over the whole campaign (CI safety net)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard kill points across N forked workers; the merged "
-        "report is byte-identical to the serial run (1 = serial)",
-    )
-    parser.add_argument(
-        "--verify-serial",
-        action="store_true",
-        help="also run each sweep serially and fail unless the report "
-        "digests match the --jobs run exactly",
-    )
-    args = parser.parse_args(argv)
+    args = parse(parser, argv)
     if args.stride < 1:
         parser.error("--stride must be at least 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-
-    kinds = sorted(PIPELINE_KINDS)
-    if args.pipelines:
-        kinds = [token.strip() for token in args.pipelines.split(",") if token.strip()]
-        for kind in kinds:
-            if kind not in PIPELINE_KINDS:
-                parser.error(
-                    f"unknown pipeline {kind!r} (expected one of "
-                    f"{sorted(PIPELINE_KINDS)})"
-                )
+    kinds = split_list(args.pipelines)
+    if kinds is None:
+        kinds = sorted(PIPELINE_KINDS)
+    for kind in kinds:
+        if kind not in PIPELINE_KINDS:
+            parser.error(
+                f"unknown pipeline {kind!r} (expected one of "
+                f"{sorted(PIPELINE_KINDS)})"
+            )
 
     sweep_engine = "turbo" if args.engine == "all" else args.engine
     failures = 0
     try:
         with time_limit(args.timeout, label="pipecamp"):
             for kind in kinds:
-                if args.jobs > 1:
-                    report = run_pipeline_sharded(
+
+                def make_campaign(shard, kind=kind) -> PipelineCampaign:
+                    return PipelineCampaign(
                         kind,
-                        args.jobs,
                         engine=sweep_engine,
                         seed=args.seed,
                         stride=args.stride,
+                        shard=shard,
                     )
-                else:
-                    report = run_campaign(
-                        kind, engine=sweep_engine, seed=args.seed, stride=args.stride
+
+                failures += len(
+                    report_and_verify(
+                        lambda jobs: ([run_sharded(make_campaign, jobs)], []),
+                        args,
+                        _print_report,
+                        lambda report, what: f"{report.pipeline:<18} {what}",
                     )
-                _print_report(report)
-                print(f"{kind:<18} report digest: {report_digest(report)}")
-                failures += len(report.violations)
-                if args.verify_serial:
-                    serial = run_campaign(
-                        kind, engine=sweep_engine, seed=args.seed, stride=args.stride
-                    )
-                    jobs_digest = report_digest(report)
-                    serial_digest = report_digest(serial)
-                    verdict = "OK" if jobs_digest == serial_digest else "MISMATCH"
-                    print(
-                        f"{kind:<18} verify-serial: jobs={args.jobs} "
-                        f"{jobs_digest[:16]} vs serial {serial_digest[:16]}: "
-                        f"{verdict}"
-                    )
-                    if jobs_digest != serial_digest:
-                        failures += 1
+                )
             if args.engine == "all":
                 for kind in kinds:
                     digests = tri_engine_digests(kind, _ENGINES, seed=args.seed)

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.faults.bitflip import (
-    TARGET_FAMILIES,
-    BitflipCampaign,
-    run_differential,
-)
+from repro.faults.bitflip import TARGET_FAMILIES, BitflipCampaign
+from repro.faults.parallel import differential
 
 
 class TestCampaign:
@@ -56,7 +53,12 @@ class TestCampaign:
 
 class TestDifferential:
     def test_engines_agree_bit_for_bit(self):
-        fast, reference, mismatches = run_differential(stride=257)
+        fast, reference, mismatches = differential(
+            lambda engine, shard: BitflipCampaign(
+                engine=engine, stride=257, shard=shard
+            ),
+            ("fast", "reference"),
+        )
         assert mismatches == []
         assert fast.ok and reference.ok
         assert fast.total_trials == reference.total_trials > 0

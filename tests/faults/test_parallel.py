@@ -14,19 +14,18 @@ import dataclasses
 import pytest
 
 from repro.faults.bitflip import BitflipCampaign
-from repro.faults.campaign import LifecycleCampaign, run_differential
+from repro.faults.campaign import LifecycleCampaign
 from repro.faults.parallel import (
     MergeError,
     ShardError,
-    merge_campaign_reports,
+    differential,
+    merge_reports,
     report_digest,
-    run_bitflip_sharded,
-    run_lifecycle_differential_sharded,
-    run_lifecycle_sharded,
-    run_pipeline_sharded,
+    run_sharded,
     run_shards,
     check_witnesses_sharded,
 )
+from repro.pipeline.campaign import PipelineCampaign
 
 
 class TestRunShards:
@@ -75,7 +74,7 @@ class TestShardedEqualsSerial:
     def test_lifecycle_sharded_report_is_byte_identical(self):
         kwargs = dict(seed=0xC0FFEE, engine="turbo", stride=17, secure_pages=16)
         serial = LifecycleCampaign(**kwargs).run()
-        sharded = run_lifecycle_sharded(2, **kwargs)
+        sharded = run_sharded(lambda shard: LifecycleCampaign(shard=shard, **kwargs), 2)
         assert serial.ok, serial.violations[:5]
         assert sharded == serial
         assert report_digest(sharded) == report_digest(serial)
@@ -83,7 +82,9 @@ class TestShardedEqualsSerial:
     def test_bitflip_sharded_report_is_byte_identical(self):
         kwargs = dict(stride=211, targets=("pagedb", "itag"), secure_pages=16)
         serial = BitflipCampaign(engine="turbo", **kwargs).run()
-        sharded = run_bitflip_sharded(2, engine="turbo", **kwargs)
+        sharded = run_sharded(
+            lambda shard: BitflipCampaign(engine="turbo", shard=shard, **kwargs), 2
+        )
         assert serial.total_trials > 0
         assert sharded == serial
         assert report_digest(sharded) == report_digest(serial)
@@ -92,7 +93,12 @@ class TestShardedEqualsSerial:
         from repro.pipeline.campaign import run_campaign
 
         serial = run_campaign("counter-notary", engine="turbo", stride=19)
-        sharded = run_pipeline_sharded("counter-notary", 2, engine="turbo", stride=19)
+        sharded = run_sharded(
+            lambda shard: PipelineCampaign(
+                "counter-notary", engine="turbo", stride=19, shard=shard
+            ),
+            2,
+        )
         assert len(serial.trials) > 1  # golden + kill trials
         assert sharded == serial
         assert report_digest(sharded) == report_digest(serial)
@@ -100,15 +106,19 @@ class TestShardedEqualsSerial:
     def test_more_shards_than_trials_still_merges_exactly(self):
         kwargs = dict(seed=0xC0FFEE, engine="turbo", stride=200, secure_pages=16)
         serial = LifecycleCampaign(**kwargs).run()
-        sharded = run_lifecycle_sharded(4, **kwargs)
+        sharded = run_sharded(lambda shard: LifecycleCampaign(shard=shard, **kwargs), 4)
         assert sharded == serial
 
     def test_lifecycle_differential_sharded_matches_serial(self):
-        kwargs = dict(seed=0xC0FFEE, stride=37, secure_pages=16,
-                      engines=("fast", "turbo"))
-        *serial_reports, serial_mismatches = run_differential(**kwargs)
-        *sharded_reports, sharded_mismatches = run_lifecycle_differential_sharded(
-            2, **kwargs
+        def make_campaign(engine, shard):
+            return LifecycleCampaign(
+                seed=0xC0FFEE, engine=engine, stride=37, secure_pages=16, shard=shard
+            )
+
+        engines = ("fast", "turbo")
+        *serial_reports, serial_mismatches = differential(make_campaign, engines)
+        *sharded_reports, sharded_mismatches = differential(
+            make_campaign, engines, jobs=2
         )
         assert sharded_mismatches == serial_mismatches == []
         for sharded, serial in zip(sharded_reports, serial_reports):
@@ -116,38 +126,121 @@ class TestShardedEqualsSerial:
 
 
 class TestMergeGuards:
-    def shards(self, count=2, stride=29):
+    """The merge refuses shards that disagree; one subclass per report type."""
+
+    merge = staticmethod(merge_reports)
+    identity_error = "campaign identity"
+    invariant_error = "discovery/clean-run state"
+
+    def shards(self, count=2):
         return [
             LifecycleCampaign(
                 seed=0xC0FFEE,
                 engine="turbo",
-                stride=stride,
+                stride=29,
                 secure_pages=16,
                 shard=(index, count),
             ).run()
             for index in range(count)
         ]
 
+    def break_identity(self, report):
+        report.seed ^= 1
+
+    def break_invariant(self, report):
+        report.steps[0].post_digest = "0" * 64
+
     def test_merge_rejects_divergent_clean_run_state(self):
         shards = self.shards()
-        shards[1].steps[0].post_digest = "0" * 64
-        with pytest.raises(MergeError, match="discovery/clean-run state"):
-            merge_campaign_reports(shards)
+        self.break_invariant(shards[1])
+        with pytest.raises(MergeError, match=self.invariant_error):
+            self.merge(shards)
 
     def test_merge_rejects_duplicate_ordinals(self):
         shard = self.shards(count=2)[0]
         with pytest.raises(MergeError, match="duplicate trial ordinals"):
-            merge_campaign_reports([shard, shard])
+            self.merge([shard, shard])
 
     def test_merge_rejects_mismatched_identity(self):
         shards = self.shards()
-        shards[1].seed ^= 1
-        with pytest.raises(MergeError, match="campaign identity"):
-            merge_campaign_reports(shards)
+        self.break_identity(shards[1])
+        with pytest.raises(MergeError, match=self.identity_error):
+            self.merge(shards)
 
     def test_merge_rejects_empty_input(self):
         with pytest.raises(MergeError, match="no shard reports"):
-            merge_campaign_reports([])
+            self.merge([])
+
+
+class TestBitflipMergeGuards(TestMergeGuards):
+    identity_error = r"campaign identity \(engine/seed/stride\)"
+    invariant_error = "sites or the golden run"
+
+    def shards(self, count=2):
+        return [
+            BitflipCampaign(
+                engine="turbo", stride=401, targets=("pagedb",), shard=(index, count)
+            ).run()
+            for index in range(count)
+        ]
+
+    def break_invariant(self, report):
+        report.steps[0].sites += 1
+
+
+class TestPipelineMergeGuards(TestMergeGuards):
+    identity_error = r"golden run \(pipeline/engine/ops/digest\)"
+    invariant_error = "golden trial verdict"
+
+    def shards(self, count=2):
+        return [
+            PipelineCampaign("counter-notary", stride=61, shard=(index, count)).run()
+            for index in range(count)
+        ]
+
+    def break_identity(self, report):
+        report.golden_digest = "0" * 64
+
+    def break_invariant(self, report):
+        report.trials[0].outcome = "hang"
+
+
+class TestOraclePins:
+    """Report digests the CLIs print, pinned so a refactor of the trial
+    protocol cannot move them unnoticed."""
+
+    @pytest.mark.parametrize(
+        "campaign, digest",
+        [
+            (
+                "lifecycle",
+                "3a289b5a0236a1ae220fc2deb29592ee62278324206c662739d8577f724580b8",
+            ),
+            (
+                "bitflip",
+                "abe1cffc1339b73b1432e338b3ef623df556eca6c9ecdcd8db37dafa3536b512",
+            ),
+            (
+                "counter-notary",
+                "4178aa22a1fadb582126ec37d0a1b0ba38734f619bc3239473331fea129774e0",
+            ),
+            (
+                "attest-sign-seal",
+                "3444bcfa926f1039e4a89591dba876c35472a2ff5d7735ce6376f635ea8de912",
+            ),
+        ],
+    )
+    def test_report_digest_is_pinned(self, campaign, digest):
+        from repro.pipeline.campaign import run_campaign
+
+        if campaign == "lifecycle":
+            report = LifecycleCampaign(engine="turbo", stride=6).run()
+        elif campaign == "bitflip":
+            report = BitflipCampaign(engine="turbo", stride=151).run()
+        else:
+            report = run_campaign(campaign, stride=29)
+        assert report.ok, report.violations[:5]
+        assert report_digest(report) == digest
 
 
 class TestShardedWitnessReplay:

@@ -79,3 +79,22 @@ class TestDeterminism:
         digests = tri_engine_digests("counter-notary")
         assert set(digests) == {"reference", "fast", "turbo"}
         assert len(set(digests.values())) == 1
+
+
+class TestFinalAckInFlight:
+    def test_crash_late_in_the_relay_chain_ends_bit_exact(self):
+        # Crashing the signer at kill points 357-361 reorders the run so
+        # that the coordinator has every reply while the sealer's ACK for
+        # txid 2 still sits on the sign<-seal link.  The pumps must keep
+        # polling until it is consumed, or the signer's committed slot
+        # stays at RP_FORWARD and the trial misses the golden digest.
+        campaign = PipelineCampaign("attest-sign-seal", engine="turbo")
+        golden = outcome_digest(
+            campaign.pipeline, campaign._run_once(FaultPlan())
+        )
+        for kill_point in range(357, 362):
+            result = campaign._trial(
+                kill_point, FaultPlan(abort_at=kill_point), golden
+            )
+            assert result.outcome == "bit-exact", kill_point
+            assert result.ok, (kill_point, result.violations)
