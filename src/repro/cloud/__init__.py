@@ -21,8 +21,9 @@ Layering:
 * :mod:`repro.cloud.service` — the asyncio front end tying it together;
 * :mod:`repro.cloud.chaos` — the kill-workers-mid-request campaign.
 
-CLIs: ``python -m repro.tools.cloudcamp`` (chaos gate) and
-``python -m repro.tools.cloudbench`` (throughput/latency benchmark).
+CLIs: ``python -m repro.tools.cloudcamp`` (chaos gate); the
+throughput/latency benchmark is the ``cloud`` suite of
+``python -m repro.tools.bench``.
 """
 
 from repro.cloud.api import (

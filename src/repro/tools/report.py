@@ -3,8 +3,9 @@
 ``python -m repro.tools.report`` runs the Table 3 microbenchmarks, the
 Figure 5 notary series, and the Table 2 line counts directly (without
 pytest) and prints the paper-vs-measured tables.  Useful for a quick
-smoke of the whole reproduction; the benchmark suite remains the
-authoritative, asserted version.
+smoke of the whole reproduction.  ``table3_rows`` is also the Table 3
+suite of ``python -m repro.tools.bench``, whose ``--check`` gates its
+cycles exactly against ``BENCH.json``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable, Dict, List
 
 from repro.apps.notary import NativeNotary, NotaryEnclave
 from repro.arm.assembler import Assembler
+from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import Mapping, SMC, SVC
 from repro.osmodel.kernel import OSKernel
@@ -78,9 +80,9 @@ def table3_rows() -> List[Row]:
         crypto_marks["attest"] = ctx.monitor.state.cycles - start
         meas = ctx.monitor.pagedb.measurement(ctx.asno)
         start = ctx.monitor.state.cycles
-        ctx.verify([0] * 8, meas, mac)
+        ok = ctx.verify([0] * 8, meas, mac)
         crypto_marks["verify"] = ctx.monitor.state.cycles - start
-        return 0
+        return 1 if ok else 0
         yield
 
     crypto_enclave = (
@@ -88,7 +90,8 @@ def table3_rows() -> List[Row]:
         .set_native_program(NativeEnclaveProgram("report-crypto", crypto_body))
         .build()
     )
-    crypto_enclave.call()
+    if crypto_enclave.call() != (KomErr.SUCCESS, 1):
+        raise RuntimeError("Table 3 attest/verify enclave failed")
     rows.append(Row("Attest", 12411, crypto_marks["attest"]))
     rows.append(Row("Verify", 13373, crypto_marks["verify"]))
 
@@ -114,7 +117,8 @@ def table3_rows() -> List[Row]:
         .set_native_program(NativeEnclaveProgram("report-map", map_body))
         .build()
     )
-    map_enclave.call(map_enclave.spares[0])
+    if map_enclave.call(map_enclave.spares[0])[0] is not KomErr.SUCCESS:
+        raise RuntimeError("Table 3 MapData enclave failed")
     rows.append(Row("MapData", 5826, map_marks["mapdata"]))
     return rows
 
